@@ -126,6 +126,10 @@ impl Future for GateWait {
     }
 }
 
+/// Gap between the end of the spawn pass and the first arrival: room
+/// for the pacer's first sleep to return.
+const START_MARGIN_NS: u64 = 1_000_000;
+
 /// Sleep-then-spin until the wall clock reaches `target_ns`.
 fn pace_until(target_ns: u64) {
     loop {
@@ -176,13 +180,16 @@ pub fn run_open_loop(kv: Arc<ShardedKv>, cfg: &OpenLoopConfig) -> OpenLoopReport
     let done = Arc::new(AtomicU64::new(0));
     let gates: Vec<Arc<Gate>> = (0..cfg.clients).map(|_| Gate::new()).collect();
 
-    // Base instant far enough out that spawning finishes first; pacer
-    // lag beyond it is charged to the requests, never hidden.
-    let base = now_ns().saturating_add(spawn_headroom_ns(cfg.clients));
+    // The arrival timeline starts only once every client is spawned
+    // (plus `START_MARGIN_NS`), so however long spawning takes it never
+    // overruns the first arrivals. Tasks read the base after their gate
+    // opens, and the pacer stores it before it opens any gate.
+    let base_at = Arc::new(AtomicU64::new(0));
     for (i, req) in script.into_iter().enumerate() {
-        let scheduled = base.saturating_add(offsets[i]);
-        let deadline = cfg.slo_ns.map(|slo| scheduled.saturating_add(slo));
+        let off = offsets[i];
+        let slo_ns = cfg.slo_ns;
         let gate = GateWait(gates[i].clone());
+        let base_at = base_at.clone();
         let kv = kv.clone();
         let latencies = latencies.clone();
         let done = done.clone();
@@ -191,11 +198,15 @@ pub fn run_open_loop(kv: Arc<ShardedKv>, cfg: &OpenLoopConfig) -> OpenLoopReport
         // the task.
         drop(exec.spawn(async move {
             gate.await;
+            let scheduled = base_at.load(Ordering::Acquire).saturating_add(off);
+            let deadline = slo_ns.map(|slo| scheduled.saturating_add(slo));
             kv.request(req.op, req.key, deadline).await;
             latencies[i].store(now_ns().saturating_sub(scheduled), Ordering::Relaxed);
             done.fetch_add(1, Ordering::Release);
         }));
     }
+    let base = now_ns().saturating_add(START_MARGIN_NS);
+    base_at.store(base, Ordering::Release);
 
     // Pace the gates on this thread. Offsets are sorted by
     // construction, so this is a single in-order walk.
@@ -222,13 +233,6 @@ pub fn run_open_loop(kv: Arc<ShardedKv>, cfg: &OpenLoopConfig) -> OpenLoopReport
         throughput: clients as f64 / (elapsed_ns.max(1) as f64 / 1e9),
         latencies_ns,
     }
-}
-
-/// How far in the future to place the first arrival: enough to spawn
-/// the client population before its gates come due.
-fn spawn_headroom_ns(clients: usize) -> u64 {
-    // ~1µs per spawned task, floor 10ms.
-    (clients as u64).saturating_mul(1_000).max(10_000_000)
 }
 
 #[cfg(test)]

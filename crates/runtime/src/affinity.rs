@@ -9,7 +9,13 @@
 /// Pin the calling thread to the given OS CPU. Returns `true` on
 /// success, `false` when pinning is unsupported or fails (e.g. the
 /// CPU does not exist inside a restricted cgroup).
+///
+/// The process-wide wait policy ([`crate::relax::yields_every_poll`])
+/// is resolved from the calling thread's affinity mask the first time
+/// it is asked, so it is resolved here, before the mask narrows to one
+/// CPU and would make a multi-core process look single-core.
 pub fn pin_to_cpu(os_cpu: usize) -> bool {
+    crate::relax::yields_every_poll();
     #[cfg(target_os = "linux")]
     {
         if os_cpu >= libc::CPU_SETSIZE as usize {

@@ -27,6 +27,10 @@ const YIELD_CADENCE: u32 = 64;
 /// bookkeeping like a clock read is noise, so amortizations that
 /// trade *accuracy* for per-poll cycles (e.g. the coarse clock's
 /// cached deadline checks) should collapse to their precise form.
+///
+/// Resolved once per process from the CPUs the first caller may run
+/// on; [`crate::affinity::pin_to_cpu`] resolves it before narrowing
+/// its thread's mask.
 pub fn yields_every_poll() -> bool {
     static SINGLE: OnceLock<bool> = OnceLock::new();
     *SINGLE.get_or_init(|| {
