@@ -32,8 +32,9 @@
 //!   emit the latency-throughput curve for applications without a
 //!   predefined SLO. Profile points carry the lock-agnostic
 //!   `asl_locks::telemetry::TelemetrySnapshot`, the same shared
-//!   format [`LockStats`] embeds — ASL path counters are a thin layer
-//!   over the zoo-wide telemetry subsystem, not a private scheme.
+//!   format [`LockStats`] snapshots report in (their acquisition
+//!   count is derived from the ASL path counters, not a private
+//!   scheme or a second counter).
 //!
 //! ## Quick start
 //!

@@ -73,13 +73,19 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
     }
 
     /// Acquire without standing by (paper `lock_immediately`).
+    ///
+    /// Statistics cost one relaxed RMW on a shared line (the path
+    /// counter), plus a second (`contended`) only when the lock was
+    /// held on entry.
     #[inline]
     pub fn lock_immediately(&self) -> L::Token {
-        self.stats
-            .immediate
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        use std::sync::atomic::Ordering::Relaxed;
         let contended = self.inner.is_locked();
-        let t0 = if self.stats.telemetry.sampling() && contended {
+        self.stats.immediate.fetch_add(1, Relaxed);
+        if contended {
+            self.stats.telemetry.record_contended();
+        }
+        let t0 = if contended && self.stats.telemetry.sampling() {
             now_ns()
         } else {
             0
@@ -90,7 +96,6 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
                 .telemetry
                 .add_wait_ns(now_ns().saturating_sub(t0));
         }
-        self.stats.telemetry.record_acquisition(contended);
         self.stats.telemetry.note_hold_start();
         token
     }
@@ -110,6 +115,9 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
     /// both paths bracket the wait with precise reads (the coarse
     /// cache is not refreshed while blocked inside `inner.lock()`, so
     /// a coarse end-read could miss the entire queue wait).
+    ///
+    /// Statistics cost as in [`Self::lock_immediately`]: the path
+    /// counter always, `contended` only when held on entry.
     #[inline]
     pub fn lock_reorder(&self, window_ns: u64) -> L::Token {
         use std::sync::atomic::Ordering::Relaxed;
@@ -129,7 +137,6 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
                     .telemetry
                     .add_wait_ns(now_ns().saturating_sub(t0));
             }
-            self.stats.telemetry.record_acquisition(false);
             self.stats.telemetry.note_hold_start();
             return token;
         }
@@ -138,22 +145,19 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
         self.stats.telemetry.record_contended();
         // The single precise clock read of this acquisition.
         let t0 = if window > 0 || sampling { now_ns() } else { 0 };
-        if window > 0 {
+        let path = if window > 0 {
             let deadline = t0.saturating_add(window);
             match self
                 .waiter
                 .standby_wait(deadline, &|| !self.inner.is_locked())
             {
-                WaitOutcome::ObservedFree => {
-                    self.stats.standby_observed_free.fetch_add(1, Relaxed);
-                }
-                WaitOutcome::WindowExpired => {
-                    self.stats.standby_expired.fetch_add(1, Relaxed);
-                }
+                WaitOutcome::ObservedFree => &self.stats.standby_observed_free,
+                WaitOutcome::WindowExpired => &self.stats.standby_expired,
             }
         } else {
-            self.stats.standby_expired.fetch_add(1, Relaxed);
-        }
+            &self.stats.standby_expired
+        };
+        path.fetch_add(1, Relaxed);
         let token = self.inner.lock();
         if sampling && t0 != 0 {
             // Precise end-read, sampling-gated: blocking in
@@ -164,7 +168,6 @@ impl<L: RawLock, W: WaitPolicy> ReorderableLock<L, W> {
                 .telemetry
                 .add_wait_ns(now_ns().saturating_sub(t0));
         }
-        self.stats.telemetry.record_acquired();
         self.stats.telemetry.note_hold_start();
         token
     }
@@ -208,6 +211,45 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
+    /// Path counters `[immediate, free_entry, observed_free, expired]`
+    /// and `contended` of a quiescent lock, checking that the derived
+    /// acquisition count is their sum.
+    fn assert_counts(l: &ReorderableLock<McsLock>, paths: [u64; 4], contended: u64) {
+        let s = l.stats().snapshot();
+        assert_eq!(
+            [
+                s.immediate,
+                s.standby_free_entry,
+                s.standby_observed_free,
+                s.standby_expired
+            ],
+            paths
+        );
+        assert_eq!(s.total(), paths.iter().sum::<u64>());
+        assert_eq!(s.telemetry.acquisitions, s.total());
+        assert_eq!(s.telemetry.contended, contended);
+    }
+
+    /// Hold `l` through its inner lock (so the holder is not counted),
+    /// run `acquire` on another thread, and release once `ready` holds
+    /// for the lock's stats (or after 10 s, leaving the mismatch to
+    /// the caller's count assertions).
+    fn contend(
+        l: &Arc<ReorderableLock<McsLock>>,
+        acquire: fn(&ReorderableLock<McsLock>),
+        ready: impl Fn(&crate::LockStatsSnapshot) -> bool,
+    ) {
+        let held = l.inner().lock();
+        let l2 = l.clone();
+        let h = std::thread::spawn(move || acquire(&l2));
+        let deadline = now_ns() + 10_000_000_000;
+        while !ready(&l.stats().snapshot()) && now_ns() < deadline {
+            std::thread::yield_now();
+        }
+        l.inner().unlock(held);
+        h.join().unwrap();
+    }
+
     #[test]
     fn immediate_path_is_plain_lock() {
         let l = ReorderableLock::new(McsLock::new());
@@ -215,7 +257,7 @@ mod tests {
         assert!(l.is_locked());
         l.unlock(t);
         assert!(!l.is_locked());
-        assert_eq!(l.stats().snapshot().immediate, 1);
+        assert_counts(&l, [1, 0, 0, 0], 0);
     }
 
     #[test]
@@ -226,7 +268,7 @@ mod tests {
         let dt = now_ns() - t0;
         l.unlock(t);
         assert!(dt < 100_000_000, "free-entry took {dt}ns");
-        assert_eq!(l.stats().snapshot().standby_free_entry, 1);
+        assert_counts(&l, [0, 1, 0, 0], 0);
     }
 
     #[test]
@@ -323,6 +365,77 @@ mod tests {
         let t = l.try_lock().expect("free");
         assert!(l.try_lock().is_none());
         l.unlock(t);
+        // try_lock bypasses both the path counters and `contended`.
+        assert_counts(&l, [0, 0, 0, 0], 0);
+    }
+
+    #[test]
+    fn counts_immediate_held_on_entry() {
+        let l = Arc::new(ReorderableLock::new(McsLock::new()));
+        // Contention is recorded before the waiter blocks.
+        contend(
+            &l,
+            |l| l.unlock(l.lock_immediately()),
+            |s| s.telemetry.contended == 1,
+        );
+        assert_counts(&l, [1, 0, 0, 0], 1);
+    }
+
+    #[test]
+    fn counts_observed_free() {
+        let mut l = ReorderableLock::new(McsLock::new());
+        l.set_max_window_ns(u64::MAX);
+        let l = Arc::new(l);
+        // Release once the standby is waiting: its (unbounded) window
+        // can only end by observing the lock free.
+        contend(
+            &l,
+            |l| l.unlock(l.lock_reorder(u64::MAX)),
+            |s| s.telemetry.contended == 1,
+        );
+        assert_counts(&l, [0, 0, 1, 0], 1);
+    }
+
+    #[test]
+    fn counts_window_expired() {
+        let l = Arc::new(ReorderableLock::new(McsLock::new()));
+        // Hold until the window has run out (the path is counted
+        // before the standby enqueues in the inner lock).
+        contend(
+            &l,
+            |l| l.unlock(l.lock_reorder(1_000)),
+            |s| s.standby_expired == 1,
+        );
+        assert_counts(&l, [0, 0, 0, 1], 1);
+    }
+
+    #[test]
+    fn sampling_records_hold_and_wait_time() {
+        let l = Arc::new(ReorderableLock::new(McsLock::new()));
+        l.stats().set_sampling(true);
+        let t = l.lock_immediately();
+        asl_runtime::clock::busy_wait_ns(1_000);
+        l.unlock(t);
+        let s = l.stats().snapshot().telemetry;
+        assert!(s.hold_ns > 0);
+        assert_eq!(s.wait_ns, 0, "uncontended: no wait bracket");
+        contend(
+            &l,
+            |l| l.unlock(l.lock_immediately()),
+            |s| s.telemetry.contended == 1,
+        );
+        assert!(l.stats().snapshot().telemetry.wait_ns > 0);
+        assert_counts(&l, [2, 0, 0, 0], 1);
+    }
+
+    #[test]
+    fn reset_zeroes_derived_count() {
+        let l = ReorderableLock::new(McsLock::new());
+        l.unlock(l.lock_immediately());
+        l.unlock(l.lock_reorder(0));
+        assert_counts(&l, [1, 1, 0, 0], 0);
+        l.stats().reset();
+        assert_counts(&l, [0, 0, 0, 0], 0);
     }
 
     #[test]

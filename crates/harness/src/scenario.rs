@@ -102,7 +102,9 @@ impl MicroScenario {
 
     /// Bench-1 (Figures 8a-8d): "4 critical sections of different
     /// lengths protected by 2 different locks ... 64 \[lines\] in
-    /// total", 600·27 emulated units between epochs.
+    /// total", 600·27 emulated units between epochs. The sections
+    /// sit at line offsets 0, 8, 24 and 48, so no line is shared
+    /// between the two locks.
     pub fn bench1(spec: &LockSpec) -> Self {
         MicroScenario {
             locks: spec.make_locks(2),
@@ -176,10 +178,13 @@ impl MicroScenario {
 
     #[inline]
     fn critical_work(&self, factor: u64) {
-        for (i, cs) in self.sections.iter().enumerate() {
+        // Sections own consecutive, disjoint line ranges in order.
+        let mut first = 0;
+        for cs in &self.sections {
             let _held = self.locks[cs.lock_idx].lock();
-            self.arena.rmw(i * 8, cs.lines);
+            self.arena.rmw(first, cs.lines);
             execute_units(cs.lines as u64 * self.cs_units_per_line * factor);
+            first += cs.lines;
         } // critical section ends when `_held` drops
     }
 
@@ -231,6 +236,12 @@ mod tests {
         let mut rng = worker_rng(1);
         let lat = s.run_op(&mut rng);
         assert!(lat > 0);
+        // The sections' ranges (0..8, 8..24, 24..48, 48..64) are
+        // disjoint and cover 0..64: one epoch touches every line once.
+        assert_eq!(s.arena.len(), 64);
+        for line in 0..64 {
+            assert_eq!(s.arena.line(line), 1, "line {line}");
+        }
     }
 
     #[test]

@@ -12,16 +12,9 @@
 //! (back-off, affinity penalties) use it so the *protocol* timing can
 //! be controlled independently of core speed.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::registry::work_multiplier;
-
-/// Sink that keeps the spin loop from being optimized away without
-/// generating shared-memory traffic (one private line per thread
-/// would be ideal; a single process-global relaxed add per *call*,
-/// not per iteration, keeps overhead negligible).
-static SINK: AtomicU64 = AtomicU64::new(0);
 
 /// Execute `units` iterations of the calibration loop, *unscaled*.
 ///
@@ -42,6 +35,11 @@ pub fn execute_raw_units(units: u64) {
 /// ([`crate::fault::FaultInjector`] over the OS backend) call this
 /// directly — going through [`execute_raw_units`] would recurse into
 /// the substrate hook.
+///
+/// The result is consumed by [`std::hint::black_box`], not stored:
+/// the loop stays opaque to the optimizer while its accumulator never
+/// leaves the calling thread, so emulated work adds no cross-core
+/// traffic to the critical sections it runs in.
 #[inline]
 pub(crate) fn run_raw_loop(units: u64) {
     let mut acc: u64 = units;
@@ -51,9 +49,7 @@ pub(crate) fn run_raw_loop(units: u64) {
         acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i) ^ (acc >> 29);
         std::hint::black_box(&acc);
     }
-    if units > 0 {
-        SINK.fetch_add(acc & 1, Ordering::Relaxed);
-    }
+    std::hint::black_box(acc);
 }
 
 /// Execute `units` of emulated work scaled by the calling thread's
