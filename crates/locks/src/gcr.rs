@@ -1149,66 +1149,6 @@ mod tests {
     }
 
     #[test]
-    fn controller_shrinks_on_inflated_contended_holds() {
-        // Zero inflation tolerance + tiny streak requirement: any
-        // window whose mean hold exceeds the best window while two
-        // acquisitions ran back-to-back contended must shrink.
-        let lock = Arc::new(Gcr::with_config(
-            McsLock::new(),
-            GcrConfig {
-                initial_limit: 4,
-                min_limit: 1,
-                max_limit: 4,
-                ctl_period: 8,
-                shrink_streak: 2,
-                inflation_pct: 0,
-                reintroduce_period: 64,
-            },
-        ));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let phase = Arc::new(AtomicU64::new(0));
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let lock = lock.clone();
-                let stop = stop.clone();
-                let phase = phase.clone();
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        let t = lock.lock();
-                        // Phase 0: short holds (establish baseline).
-                        // Phase 1: 20x longer holds (inflation).
-                        let ns = if phase.load(Ordering::Relaxed) == 0 {
-                            5_000
-                        } else {
-                            100_000
-                        };
-                        asl_runtime::clock::busy_wait_ns(ns);
-                        lock.unlock(t);
-                    }
-                })
-            })
-            .collect();
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        phase.store(1, Ordering::Relaxed);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        while lock.shrinks() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        stop.store(true, Ordering::Relaxed);
-        for w in workers {
-            w.join().unwrap();
-        }
-        assert!(
-            lock.shrinks() >= 1,
-            "controller never shrank under inflated contended holds \
-             (limit={}, snapshot={:?})",
-            lock.limit(),
-            lock.telemetry().snapshot()
-        );
-        assert!(lock.limit() < 4);
-    }
-
-    #[test]
     fn reintroduction_rotates_the_admitted_set() {
         // K=1 and a tiny period: passive waiters must rotate in.
         const THREADS: usize = 4;

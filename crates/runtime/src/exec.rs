@@ -9,8 +9,13 @@
 //! * [`Executor::new(workers)`](Executor::new) starts a fixed pool of
 //!   worker threads draining one shared injector run queue (a
 //!   `Mutex<VecDeque>` plus a `Condvar` for parked workers).
-//! * [`Executor::spawn`] boxes a future as a heap task and returns a
-//!   [`JoinHandle`] that can be either `.await`ed from another task or
+//! * [`Executor::spawn`] makes one heap allocation per task: the
+//!   scheduling state, the future (inline, pinned in place) and the
+//!   join slot its output lands in. It pushes the task on the run
+//!   queue first and only then records it for shutdown cancellation,
+//!   so a worker can start the task while `spawn` is still
+//!   bookkeeping. The returned [`JoinHandle`] points into the same
+//!   allocation and can be either `.await`ed from another task or
 //!   synchronously [`JoinHandle::join`]ed from a plain thread.
 //! * [`block_on`] drives any future to completion on the calling
 //!   thread with a park/unpark waker — the bridge from synchronous
@@ -19,19 +24,33 @@
 //! ## Where a request's time goes
 //!
 //! Medians from the benchmark's traced `kv-open` run (one worker, 50k
-//! requests/s, 2-CPU x86 VM):
+//! requests/s, 2-CPU x86 VM, six 4 s runs):
 //!
 //! | stage | what it covers | p50 |
 //! |---|---|---|
-//! | spawn | box the future, register it, push it on the queue | ≈1.1 µs |
-//! | start | spawn return to the first poll, worker spinning | ≈0.9 µs |
+//! | spawn | allocate the task, push it on the queue, register it | ≈0.65 µs |
+//! | start | spawn return to the first poll, worker spinning | ≈0.55 µs |
 //! | start | the same, worker parked (park→wake round trip) | ≈6–7 µs |
-//! | poll | the request itself: shard lock plus map operation | ≈0.8 µs |
+//! | poll | the request itself: shard lock plus map operation | ≈0.5 µs |
 //!
-//! At this load the time is not in the queue mutex (the whole spawn,
-//! lock included, is ≈1.1 µs) but in parking: a `futex_wake` per
-//! notify, and the sleep/wake round trip of a parked worker. The idle
-//! path is therefore spin-then-park:
+//! About 1% of traced requests are first polled before their spawn
+//! returns; their start stage counts as zero.
+//!
+//! A spawn used to make three allocations (join slot, boxed future,
+//! task), two of which the worker freed. Blocks freed on another
+//! thread than the allocating one make allocation the allocator's slow
+//! path: ≈140–230 ns against ≈25 ns per 192-byte `Box` with glibc
+//! malloc on this VM. The one block a
+//! task has now is freed when the last of its handle, its queue entry
+//! and its registry `Weak` goes, usually at the spawner's next
+//! registry prune. In eight alternating 8 s `kv-open` pairs, the
+//! single allocation alone moved the request p50 from 2.07 to
+//! 1.75 µs; in eight more, queueing before registering moved it from
+//! 1.76 to 1.50 µs.
+//!
+//! The idle path is spin-then-park, because a `futex_wake` per notify
+//! and the sleep/wake round trip of a parked worker cost more than the
+//! whole spawn:
 //!
 //! * An idle worker watches an atomic mirror of the queue length for
 //!   up to `SPIN_WINDOW_NS` (100 µs) through [`relax::Spin`], so an
@@ -64,8 +83,8 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
+use std::task::{Context, Poll, Wake, Waker};
 
 use crate::clock::{self, now_ns};
 use crate::relax;
@@ -90,22 +109,46 @@ const NOTIFIED: u8 = 3;
 /// The future returned `Ready`; all further wakes are no-ops.
 const COMPLETE: u8 = 4;
 
-type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
+/// A spawned task as the run queue, the registry and shutdown see it,
+/// whatever its future type.
+trait Runnable: Send + Sync {
+    /// Poll the task once; a worker calls this after popping it.
+    fn run(self: Arc<Self>);
+    /// Drop the future in place and mark the task complete.
+    fn cancel(&self);
+    fn is_complete(&self) -> bool;
+}
 
-struct Task {
+/// A task's output as its [`JoinHandle`] sees it.
+trait Join<T>: Send + Sync {
+    fn slot(&self) -> &JoinSlot<T>;
+}
+
+/// Everything one spawn needs, in one allocation.
+struct Task<F: Future> {
     state: AtomicU8,
-    /// The future, consumed (set to `None`) on completion. A `Mutex`
-    /// rather than an `UnsafeCell`: the state machine already
+    exec: Weak<Inner>,
+    /// The future, dropped in place (set to `None`) on completion or
+    /// cancellation and never moved: polls pin it where it lies. A
+    /// `Mutex` rather than an `UnsafeCell`: the state machine already
     /// guarantees exclusive polling, but the lock makes that guarantee
     /// locally checkable and costs nothing off the hot paths measured
     /// here.
-    future: Mutex<Option<BoxFuture>>,
-    exec: Weak<Inner>,
+    future: Mutex<Option<F>>,
+    join: JoinSlot<F::Output>,
 }
 
-impl Task {
+impl<F> Wake for Task<F>
+where
+    F: Future + Send + 'static,
+    F::Output: Send + 'static,
+{
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
     /// Transition for an incoming wake; enqueue when it wins.
-    fn wake_task(self: &Arc<Self>) {
+    fn wake_by_ref(self: &Arc<Self>) {
         loop {
             let cur = self.state.load(Ordering::Acquire);
             let next = match cur {
@@ -130,44 +173,72 @@ impl Task {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Waker vtable over Arc<Task>
-// ---------------------------------------------------------------------------
+impl<F> Runnable for Task<F>
+where
+    F: Future + Send + 'static,
+    F::Output: Send + 'static,
+{
+    fn run(self: Arc<Self>) {
+        self.state.store(RUNNING, Ordering::Release);
+        let waker = Waker::from(self.clone());
+        let mut cx = Context::from_waker(&waker);
+        let mut slot = self.future.lock().unwrap();
+        let Some(fut) = slot.as_mut() else {
+            self.state.store(COMPLETE, Ordering::Release);
+            return;
+        };
+        // SAFETY: the future lives inside this task's `Arc` allocation,
+        // which does not move, and is only ever dropped in place
+        // (`*slot = None`, here and in `cancel`), never moved out.
+        let fut = unsafe { Pin::new_unchecked(fut) };
+        match fut.poll(&mut cx) {
+            Poll::Ready(value) => {
+                // Captured values drop before the output is published,
+                // so a joiner that sees the output sees them gone.
+                *slot = None;
+                drop(slot);
+                self.state.store(COMPLETE, Ordering::Release);
+                self.join.complete(value);
+            }
+            Poll::Pending => {
+                drop(slot);
+                // RUNNING -> IDLE; if a wake slipped in (NOTIFIED),
+                // re-enqueue so it is not lost.
+                if self
+                    .state
+                    .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
+                    .is_err()
+                {
+                    self.state.store(SCHEDULED, Ordering::Release);
+                    if let Some(inner) = self.exec.upgrade() {
+                        inner.enqueue(self);
+                    }
+                }
+            }
+        }
+    }
 
-fn task_raw_waker(task: Arc<Task>) -> RawWaker {
-    RawWaker::new(Arc::into_raw(task) as *const (), &TASK_VTABLE)
+    fn cancel(&self) {
+        // Dropped under the task's own lock: a destructor that cascades
+        // (guard drop → handoff → wake) only touches other tasks' state
+        // and the run queue, never this future slot.
+        *self.future.lock().unwrap_or_else(PoisonError::into_inner) = None;
+        self.state.store(COMPLETE, Ordering::Release);
+    }
+
+    fn is_complete(&self) -> bool {
+        self.state.load(Ordering::Acquire) == COMPLETE
+    }
 }
 
-static TASK_VTABLE: RawWakerVTable = RawWakerVTable::new(
-    |ptr| {
-        // SAFETY: `ptr` came from `Arc::into_raw` in `task_raw_waker`;
-        // reconstruct without consuming to clone the refcount.
-        let task = unsafe { Arc::from_raw(ptr as *const Task) };
-        let cloned = task.clone();
-        std::mem::forget(task);
-        task_raw_waker(cloned)
-    },
-    |ptr| {
-        // wake (consumes the reference).
-        let task = unsafe { Arc::from_raw(ptr as *const Task) };
-        task.wake_task();
-    },
-    |ptr| {
-        // wake_by_ref.
-        let task = unsafe { Arc::from_raw(ptr as *const Task) };
-        task.wake_task();
-        std::mem::forget(task);
-    },
-    |ptr| {
-        // drop.
-        drop(unsafe { Arc::from_raw(ptr as *const Task) });
-    },
-);
-
-fn task_waker(task: Arc<Task>) -> Waker {
-    // SAFETY: the vtable upholds the RawWaker contract over Arc<Task>
-    // reference counts (clone bumps, wake/drop consume).
-    unsafe { Waker::from_raw(task_raw_waker(task)) }
+impl<F> Join<F::Output> for Task<F>
+where
+    F: Future + Send,
+    F::Output: Send,
+{
+    fn slot(&self) -> &JoinSlot<F::Output> {
+        &self.join
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -196,20 +267,23 @@ struct Inner {
 }
 
 struct RunQueue {
-    tasks: VecDeque<Arc<Task>>,
+    tasks: VecDeque<Arc<dyn Runnable>>,
     /// Workers blocked on `Inner::available`. An enqueue notifies only
     /// when this is non-zero: std's futex condvar makes a `futex_wake`
     /// syscall on every notify, waiter or not.
     parked: usize,
 }
 
+/// A registered task's allocation outlives its completion until the
+/// prune that drops its `Weak`, so completed tasks pin at most
+/// `prune_at` (twice the live count, at least 64) allocations.
 struct TaskRegistry {
-    list: Vec<Weak<Task>>,
+    list: Vec<Weak<dyn Runnable>>,
     prune_at: usize,
 }
 
 impl Inner {
-    fn enqueue(&self, task: Arc<Task>) {
+    fn enqueue(&self, task: Arc<dyn Runnable>) {
         let mut q = self.queue.lock().unwrap();
         q.tasks.push_back(task);
         self.len.store(q.tasks.len(), Ordering::Relaxed);
@@ -220,6 +294,16 @@ impl Inner {
         }
     }
 
+    fn register(&self, task: Weak<dyn Runnable>) {
+        let mut reg = self.tasks.lock().unwrap();
+        if reg.list.len() >= reg.prune_at {
+            reg.list
+                .retain(|w| w.upgrade().is_some_and(|t| !t.is_complete()));
+            reg.prune_at = (reg.list.len() * 2).max(64);
+        }
+        reg.list.push(task);
+    }
+
     /// Next task to poll, or `None` once the executor shuts down.
     ///
     /// An idle worker first spins on `len` for up to
@@ -228,7 +312,7 @@ impl Inner {
     /// `parked` increment happen under the queue mutex that `enqueue`
     /// pushes under, so an enqueue either sees the parked worker and
     /// notifies it or is seen by it.
-    fn next_task(&self) -> Option<Arc<Task>> {
+    fn next_task(&self) -> Option<Arc<dyn Runnable>> {
         let mut spun = false;
         let mut q = self.queue.lock().unwrap();
         loop {
@@ -316,51 +400,34 @@ impl Executor {
 
     /// Spawn a future onto the pool; the handle can be `.await`ed or
     /// synchronously [`JoinHandle::join`]ed.
+    ///
+    /// The task is queued before it is registered for cancellation, so
+    /// it may run, even complete, before `spawn` returns. Both happen
+    /// before the return, and dropping the executor needs `&mut`, so
+    /// shutdown still sees every task.
     pub fn spawn<F>(&self, future: F) -> JoinHandle<F::Output>
     where
         F: Future + Send + 'static,
         F::Output: Send + 'static,
     {
-        let slot = Arc::new(JoinSlot {
-            state: Mutex::new(JoinState {
-                value: None,
-                waker: None,
-                done: false,
-                blocked: false,
-            }),
-            ready: Condvar::new(),
-        });
-        let out = slot.clone();
         let task = Arc::new(Task {
             state: AtomicU8::new(SCHEDULED),
-            future: Mutex::new(Some(Box::pin(async move {
-                let value = future.await;
-                let mut st = out.state.lock().unwrap();
-                st.value = Some(value);
-                st.done = true;
-                if let Some(w) = st.waker.take() {
-                    drop(st);
-                    w.wake();
-                } else if st.blocked {
-                    drop(st);
-                    out.ready.notify_all();
-                }
-            }))),
             exec: Arc::downgrade(&self.inner),
+            future: Mutex::new(Some(future)),
+            join: JoinSlot {
+                state: Mutex::new(JoinState {
+                    value: None,
+                    waker: None,
+                    done: false,
+                    blocked: false,
+                }),
+                ready: Condvar::new(),
+            },
         });
-        {
-            let mut reg = self.inner.tasks.lock().unwrap();
-            if reg.list.len() >= reg.prune_at {
-                reg.list.retain(|w| {
-                    w.upgrade()
-                        .is_some_and(|t| t.state.load(Ordering::Acquire) != COMPLETE)
-                });
-                reg.prune_at = (reg.list.len() * 2).max(64);
-            }
-            reg.list.push(Arc::downgrade(&task));
-        }
-        self.inner.enqueue(task);
-        JoinHandle { slot }
+        self.inner.enqueue(task.clone());
+        self.inner
+            .register(Arc::downgrade(&task) as Weak<dyn Runnable>);
+        JoinHandle { task }
     }
 
     /// Number of tasks currently sitting in the run queue (racy
@@ -382,16 +449,10 @@ impl Drop for Executor {
         }
         // Cancel every unfinished task: drop its future so cancel-safe
         // primitives (async-mutex wait nodes, held guards) unlink and
-        // release. Futures are dropped outside the task's own lock; a
-        // destructor that cascades (guard drop → handoff → wake) only
-        // touches other tasks' state and the run queue, never this
-        // future slot.
+        // release.
         let list = std::mem::take(&mut self.inner.tasks.lock().unwrap().list);
-        for weak in list {
-            let Some(task) = weak.upgrade() else { continue };
-            let fut = task.future.lock().unwrap().take();
-            drop(fut);
-            task.state.store(COMPLETE, Ordering::Release);
+        for task in list.iter().filter_map(Weak::upgrade) {
+            task.cancel();
         }
         // Drain the run queue (cancelled shells plus anything wakes
         // re-enqueued during cancellation); swap out under the lock so
@@ -403,39 +464,7 @@ impl Drop for Executor {
 
 fn worker_loop(inner: &Inner) {
     while let Some(task) = inner.next_task() {
-        poll_task(&task);
-    }
-}
-
-fn poll_task(task: &Arc<Task>) {
-    task.state.store(RUNNING, Ordering::Release);
-    let waker = task_waker(task.clone());
-    let mut cx = Context::from_waker(&waker);
-    let mut slot = task.future.lock().unwrap();
-    let Some(fut) = slot.as_mut() else {
-        task.state.store(COMPLETE, Ordering::Release);
-        return;
-    };
-    match fut.as_mut().poll(&mut cx) {
-        Poll::Ready(()) => {
-            *slot = None;
-            task.state.store(COMPLETE, Ordering::Release);
-        }
-        Poll::Pending => {
-            drop(slot);
-            // RUNNING -> IDLE; if a wake slipped in (NOTIFIED),
-            // re-enqueue so it is not lost.
-            if task
-                .state
-                .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                task.state.store(SCHEDULED, Ordering::Release);
-                if let Some(inner) = task.exec.upgrade() {
-                    inner.enqueue(task.clone());
-                }
-            }
-        }
+        task.run();
     }
 }
 
@@ -457,10 +486,26 @@ struct JoinSlot<T> {
     ready: Condvar,
 }
 
+impl<T> JoinSlot<T> {
+    /// Publish the output and wake whoever waits for it.
+    fn complete(&self, value: T) {
+        let mut st = self.state.lock().unwrap();
+        st.value = Some(value);
+        st.done = true;
+        if let Some(w) = st.waker.take() {
+            drop(st);
+            w.wake();
+        } else if st.blocked {
+            drop(st);
+            self.ready.notify_all();
+        }
+    }
+}
+
 /// Completion handle for a spawned task: a [`Future`] yielding the
 /// task's output, or a blocking [`JoinHandle::join`] from sync code.
 pub struct JoinHandle<T> {
-    slot: Arc<JoinSlot<T>>,
+    task: Arc<dyn Join<T>>,
 }
 
 impl<T> JoinHandle<T> {
@@ -469,17 +514,18 @@ impl<T> JoinHandle<T> {
     /// # Panics
     /// Panics if the output was already taken by an earlier poll.
     pub fn join(self) -> T {
-        let mut st = self.slot.state.lock().unwrap();
+        let slot = self.task.slot();
+        let mut st = slot.state.lock().unwrap();
         while !st.done {
             st.blocked = true;
-            st = self.slot.ready.wait(st).unwrap();
+            st = slot.ready.wait(st).unwrap();
         }
         st.value.take().expect("join output already taken")
     }
 
     /// Whether the task has completed (non-blocking).
     pub fn is_finished(&self) -> bool {
-        self.slot.state.lock().unwrap().done
+        self.task.slot().state.lock().unwrap().done
     }
 }
 
@@ -487,7 +533,7 @@ impl<T> Future for JoinHandle<T> {
     type Output = T;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        let mut st = self.slot.state.lock().unwrap();
+        let mut st = self.task.slot().state.lock().unwrap();
         if st.done {
             Poll::Ready(st.value.take().expect("JoinHandle polled after Ready"))
         } else {
@@ -505,30 +551,15 @@ struct ThreadUnparker {
     thread: std::thread::Thread,
 }
 
-fn unparker_raw_waker(u: Arc<ThreadUnparker>) -> RawWaker {
-    RawWaker::new(Arc::into_raw(u) as *const (), &UNPARK_VTABLE)
-}
+impl Wake for ThreadUnparker {
+    fn wake(self: Arc<Self>) {
+        self.thread.unpark();
+    }
 
-static UNPARK_VTABLE: RawWakerVTable = RawWakerVTable::new(
-    |ptr| {
-        let u = unsafe { Arc::from_raw(ptr as *const ThreadUnparker) };
-        let cloned = u.clone();
-        std::mem::forget(u);
-        unparker_raw_waker(cloned)
-    },
-    |ptr| {
-        let u = unsafe { Arc::from_raw(ptr as *const ThreadUnparker) };
-        u.thread.unpark();
-    },
-    |ptr| {
-        let u = unsafe { Arc::from_raw(ptr as *const ThreadUnparker) };
-        u.thread.unpark();
-        std::mem::forget(u);
-    },
-    |ptr| {
-        drop(unsafe { Arc::from_raw(ptr as *const ThreadUnparker) });
-    },
-);
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.thread.unpark();
+    }
+}
 
 /// Drive `future` to completion on the calling thread.
 ///
@@ -538,12 +569,9 @@ static UNPARK_VTABLE: RawWakerVTable = RawWakerVTable::new(
 /// same thread) is fine: each call has its own waker.
 pub fn block_on<F: Future>(future: F) -> F::Output {
     let mut future = std::pin::pin!(future);
-    let unparker = Arc::new(ThreadUnparker {
+    let waker = Waker::from(Arc::new(ThreadUnparker {
         thread: std::thread::current(),
-    });
-    // SAFETY: the vtable upholds the RawWaker contract over
-    // Arc<ThreadUnparker> reference counts.
-    let waker = unsafe { Waker::from_raw(unparker_raw_waker(unparker)) };
+    }));
     let mut cx = Context::from_waker(&waker);
     loop {
         match future.as_mut().poll(&mut cx) {
@@ -692,16 +720,59 @@ mod tests {
         let cell = Oneshot::new();
         let exec = Executor::new(1);
         let h = exec.spawn(Recv(cell.clone()));
-        let slot = h.slot.clone();
+        let task = h.task.clone();
         let (tx, rx) = std::sync::mpsc::channel();
         let joiner = std::thread::spawn(move || tx.send(h.join()).unwrap());
-        while !slot.state.lock().unwrap().blocked {
+        while !task.slot().state.lock().unwrap().blocked {
             std::thread::yield_now();
         }
         cell.send(7);
         let got = rx.recv_timeout(std::time::Duration::from_secs(10));
         assert_eq!(got.expect("the blocked join was never woken"), 7);
         joiner.join().unwrap();
+    }
+
+    #[test]
+    fn captures_drop_at_completion_while_the_handle_lives() {
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let exec = Executor::new(1);
+        let d = NoteDrop(dropped.clone());
+        let h = exec.spawn(async move {
+            let _keep = d;
+            3
+        });
+        while !h.is_finished() {
+            std::thread::yield_now();
+        }
+        assert_eq!(dropped.load(Ordering::Relaxed), 1);
+        assert_eq!(h.join(), 3);
+    }
+
+    #[test]
+    fn large_output_round_trips() {
+        let exec = Executor::new(1);
+        let big = |seed: u8| -> [u8; 4096] { std::array::from_fn(|i| (i as u8) ^ seed) };
+        assert_eq!(exec.spawn(async move { big(1) }).join(), big(1));
+        let h = exec.spawn(async move { big(2) });
+        assert!(exec.spawn(async move { h.await == big(2) }).join());
+        assert_eq!(block_on(exec.spawn(async move { big(3) })), big(3));
+    }
+
+    #[test]
+    fn waking_a_stored_waker_after_drop_is_a_no_op() {
+        let cell = Oneshot::new();
+        let exec = Executor::new(1);
+        let h = exec.spawn(Recv(cell.clone()));
+        while cell.state.lock().unwrap().1.is_none() {
+            std::thread::yield_now();
+        }
+        // Cancelled, and the stored waker now holds the task's last
+        // reference: waking it must neither enqueue nor poll.
+        drop(exec);
+        assert!(!h.is_finished());
+        drop(h);
+        cell.send(5);
+        assert!(cell.state.lock().unwrap().1.is_none());
     }
 
     #[test]

@@ -15,14 +15,18 @@
 //! * **bounded passive starvation** — with a small reintroduction
 //!   period every thread completes work; with reintroduction
 //!   effectively disabled the passive LIFO is allowed to starve the
-//!   oldest waiters, which the contrast run documents.
+//!   oldest waiters, which the contrast run documents;
+//! * **controller shrink** — holds that inflate under back-to-back
+//!   contention shrink `K`, and the shrink stands.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use asl_locks::gcr::{GcrConfig, GcrPlain};
-use asl_locks::McsLock;
+use asl_locks::gcr::{Gcr, GcrConfig, GcrPlain};
+use asl_locks::{McsLock, RawLock};
+use asl_runtime::clock::{busy_wait_ns, now_ns};
 use asl_runtime::Topology;
-use asl_sim::exec::{run_lock, ZooConfig};
+use asl_sim::exec::{run_lock, run_threads, ZooConfig};
 
 /// 12 virtual threads on the 8-core model: oversubscribed, the
 /// regime GCR exists for.
@@ -131,4 +135,52 @@ fn no_lost_wakeups_at_k1() {
     let again = gcr(1, 4);
     let r2 = run_lock(&cfg(8), again);
     assert_eq!(r, r2, "same seed must reproduce");
+}
+
+/// The adaptive controller shrinks `K` once holds inflate while
+/// acquisitions run back-to-back contended. Two threads share the
+/// lock: 5 µs holds for the first 200 virtual µs set the baseline,
+/// then 100 µs holds inflate it. With zero inflation tolerance and a
+/// streak of two, the first inflated window must shrink `K`, and
+/// both threads stop at the first shrink, before a whole window could
+/// grow it back. On real threads the same check raced the grow path.
+#[test]
+fn controller_shrinks_on_inflated_contended_holds() {
+    const INFLATE_AT_NS: u64 = 200_000;
+    const GIVE_UP_NS: u64 = 50_000_000;
+    let lock = Gcr::with_config(
+        McsLock::new(),
+        GcrConfig {
+            initial_limit: 4,
+            min_limit: 1,
+            max_limit: 4,
+            ctl_period: 8,
+            shrink_streak: 2,
+            inflation_pct: 0,
+            reintroduce_period: 64,
+        },
+    );
+    let stop = AtomicBool::new(false);
+    run_threads(&cfg(2), |_| {
+        while !stop.load(Ordering::Relaxed) {
+            let t = lock.lock();
+            busy_wait_ns(if now_ns() < INFLATE_AT_NS {
+                5_000
+            } else {
+                100_000
+            });
+            lock.unlock(t);
+            if lock.shrinks() > 0 || now_ns() > GIVE_UP_NS {
+                stop.store(true, Ordering::Relaxed);
+            }
+        }
+    });
+    assert!(
+        lock.shrinks() >= 1,
+        "controller never shrank under inflated contended holds \
+         (limit={}, snapshot={:?})",
+        lock.limit(),
+        lock.telemetry().snapshot()
+    );
+    assert!(lock.limit() < 4);
 }
